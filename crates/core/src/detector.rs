@@ -122,6 +122,7 @@ use std::sync::Arc;
 use crate::context::Context;
 use crate::error::{CycleEntry, DeadlockCycle};
 use crate::ids::{PromiseId, TaskId};
+use crate::name::Name;
 use crate::refs::PackedRef;
 
 /// The inputs of one detector run: the current task (`t0`) and the promise it
@@ -132,7 +133,8 @@ pub(crate) struct DetectionSubject {
     pub t0_name: Option<Arc<str>>,
     pub p0_slot: PackedRef,
     pub p0_id: PromiseId,
-    pub p0_name: Option<Arc<str>>,
+    /// Cloned, not rendered: rendering waits for a detected cycle.
+    pub p0_name: Option<Name>,
 }
 
 /// Fully validated (seqlock) read of `owner(p)`, used by the post-detection
@@ -299,7 +301,7 @@ fn collect_cycle(ctx: &Context, subject: &DetectionSubject, cap: usize) -> Vec<C
         task: subject.t0_id,
         task_name: subject.t0_name.clone(),
         promise: subject.p0_id,
-        promise_name: subject.p0_name.clone(),
+        promise_name: subject.p0_name.as_ref().map(Name::to_arc),
     }];
     let mut p_i = subject.p0_slot;
     let mut t_next = load_owner_validated(ctx, p_i);

@@ -32,6 +32,7 @@ use std::time::Instant;
 
 use crate::alarms::AlarmSink;
 use crate::ids::{PromiseId, TaskId};
+use crate::name::Name;
 
 /// The kind of one logged event.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -91,8 +92,9 @@ pub struct EventRecord {
     pub seq: u64,
     /// The promise involved ([`PromiseId::NONE`] for task-lifecycle events).
     pub promise: PromiseId,
-    /// The involved promise's captured name, if any.
-    pub promise_name: Option<Arc<str>>,
+    /// The involved promise's captured name, if any (rendered by the
+    /// exports, not when the event is recorded).
+    pub promise_name: Option<Name>,
     /// For [`EventKind::Spawn`] / [`EventKind::Transfer`]: the child task.
     pub child: TaskId,
     /// The child task's captured name, if any.
@@ -136,7 +138,7 @@ impl EventRecord {
             push_field(&mut out, "promise", &self.promise.0.to_string());
         }
         if let Some(n) = &self.promise_name {
-            push_field(&mut out, "promise_name", &json_str(n));
+            push_field(&mut out, "promise_name", &json_str(&n.text()));
         }
         if self.child.is_some() {
             push_field(&mut out, "child", &self.child.0.to_string());
@@ -172,7 +174,7 @@ impl EventRecord {
         push_field(&mut out, "seq", &self.seq.to_string());
         push_field(&mut out, "kind", &json_str(self.kind.label()));
         if let Some(n) = &self.promise_name {
-            push_field(&mut out, "promise", &json_str(n));
+            push_field(&mut out, "promise", &json_str(&n.text()));
         }
         if let Some(n) = &self.child_name {
             push_field(&mut out, "child", &json_str(n));
@@ -250,7 +252,7 @@ impl EventLog {
         kind: EventKind,
         info: Option<(TaskId, Option<Arc<str>>, u64)>,
         promise: PromiseId,
-        promise_name: Option<Arc<str>>,
+        promise_name: Option<Name>,
     ) {
         let mut rec = EventRecord::blank(kind, self.now_ns());
         if let Some((task, task_name, seq)) = info {
@@ -269,7 +271,7 @@ impl EventLog {
         kind: EventKind,
         info: Option<(TaskId, Option<Arc<str>>, u64)>,
         promise: PromiseId,
-        promise_name: Option<Arc<str>>,
+        promise_name: Option<Name>,
         child: TaskId,
         child_name: Option<Arc<str>>,
     ) {
@@ -375,7 +377,7 @@ mod tests {
             EventKind::Get,
             info(3, "t1", 0),
             PromiseId(7),
-            Some(Arc::from("p2")),
+            Some(Name::plain("p2")),
         );
         log.record_alarm(info(3, "t1", 1), "deadlock");
         log.record(EventKind::TaskStart, None, PromiseId::NONE, None);
@@ -396,19 +398,19 @@ mod tests {
             EventKind::Set,
             info(2, "t2", 0),
             PromiseId(9),
-            Some(Arc::from("p1")),
+            Some(Name::plain("p1")),
         );
         log.record(
             EventKind::Get,
             info(1, "t1", 1),
             PromiseId(9),
-            Some(Arc::from("p1")),
+            Some(Name::plain("p1")),
         );
         log.record(
             EventKind::Get,
             info(1, "t1", 0),
             PromiseId(8),
-            Some(Arc::from("p0")),
+            Some(Name::plain("p0")),
         );
         log.record_alarm(info(1, "t1", 2), "deadlock");
         let canon = log.canonical_jsonl();

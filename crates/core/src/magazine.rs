@@ -423,7 +423,8 @@ impl<T: Copy + Send> MagazinePool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::interleave::KitBackend;
+    use crate::counters::sim::{self, SimWorker};
+    use crate::test_support::interleave::{KitBackend, RESERVED_SLOTS};
     use std::sync::Arc;
 
     #[test]
@@ -490,41 +491,39 @@ mod tests {
 
     #[test]
     fn dead_workers_magazine_is_adopted_with_its_contents() {
-        let pool: Arc<MagazinePool<u32>> = Arc::new(MagazinePool::new());
-        let backend = Arc::new(KitBackend::default());
-        let (p2, b2) = (Arc::clone(&pool), Arc::clone(&backend));
-        // The worker dies without flushing: its registration guard drops
-        // (epoch bump) but `flush_current_worker` is never called.
-        let slot_id = std::thread::spawn(move || {
-            let worker = counters::register_worker();
-            let item = p2.alloc(&*b2).unwrap();
-            p2.free(&*b2, item).unwrap();
-            let token = counters::current_worker_token().unwrap();
-            drop(worker);
-            token.slot
-        })
-        .join()
-        .unwrap();
+        // Both registrations are simulated workers pinned to one explicit
+        // slot id, just below the interleaving kit's reserved window: real
+        // registrations allocate ids densely from 0 and never reach it, so
+        // the dead and the adopting worker map to the same magazine however
+        // other tests register meanwhile.
+        let slot = sim::TRACKED_SLOTS - RESERVED_SLOTS - 1;
+        let pool: MagazinePool<u32> = MagazinePool::new();
+        let backend = KitBackend::default();
+        // The worker dies without flushing: its registration ends (epoch
+        // bump) but `flush_current_worker` is never called.
+        let dead = SimWorker::register(slot);
+        {
+            let _active = dead.activate();
+            let item = pool.alloc(&backend).unwrap();
+            pool.free(&backend, item).unwrap();
+        }
+        dead.die();
         assert!(pool.cached() > 0, "the dead claim strands its cache");
-        // A new worker registers; slot ids are LIFO-recycled, so it maps to
-        // the same magazine and adopts the dead claim.
-        let (p2, b2) = (Arc::clone(&pool), Arc::clone(&backend));
-        std::thread::spawn(move || {
-            let _worker = counters::register_worker();
-            let token = counters::current_worker_token().unwrap();
-            assert_eq!(token.slot, slot_id, "slot ids are recycled LIFO");
-            let refills_before = b2.refills.load(Ordering::Relaxed);
-            let _item = p2.alloc(&*b2).expect("adopter owns the magazine");
+        // A new worker on the same slot maps to the same magazine and
+        // adopts the dead claim.
+        let adopter = SimWorker::register(slot);
+        {
+            let _active = adopter.activate();
+            let refills_before = backend.refills.load(Ordering::Relaxed);
+            let item = pool.alloc(&backend).expect("adopter owns the magazine");
             assert_eq!(
-                b2.refills.load(Ordering::Relaxed),
+                backend.refills.load(Ordering::Relaxed),
                 refills_before,
                 "the alloc was served from the adopted cache, not a refill"
             );
-            p2.free(&*b2, _item).unwrap();
-            p2.flush_current_worker(&*b2);
-        })
-        .join()
-        .unwrap();
+            pool.free(&backend, item).unwrap();
+            pool.flush_current_worker(&backend);
+        }
         assert_eq!(pool.cached(), 0);
         assert_eq!(pool.live(), 0);
     }

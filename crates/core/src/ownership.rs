@@ -165,7 +165,7 @@ pub fn prepare_task(
                     EventKind::Transfer,
                     body_event_info(parent),
                     p.id(),
-                    p.name(),
+                    p.lazy_name().cloned(),
                     body.id,
                     body.name.clone(),
                 );

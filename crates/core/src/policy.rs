@@ -106,7 +106,11 @@ pub struct PolicyConfig {
     /// Reaction to an omitted set.
     pub omitted_set: OmittedSetAction,
     /// Whether task/promise names are captured for diagnostics.  Names make
-    /// alarms easier to read but cost an allocation per named object.
+    /// alarms easier to read.  A named task or a
+    /// [`Promise::with_name`](crate::Promise::with_name) promise copies its
+    /// name into one shared string; a channel cell shares its channel's
+    /// label and allocates nothing.  A cell's `"label[n]"` text is rendered
+    /// only when read.  With capture off nothing is stored.
     pub capture_names: bool,
     /// Upper bound multiplier on detector traversal length, as a multiple of
     /// the number of live tasks.  Algorithm 2 cannot cycle for the task that

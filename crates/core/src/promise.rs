@@ -73,6 +73,7 @@ use crate::detector;
 use crate::error::PromiseError;
 use crate::events::EventKind;
 use crate::ids::{PromiseId, TaskId};
+use crate::name::Name;
 use crate::ownership;
 use crate::pool_arc::{ErasedPromiseRef, PoolArc};
 use crate::refs::PackedRef;
@@ -87,8 +88,12 @@ use crate::task;
 pub trait ErasedPromise: Send + Sync {
     /// The promise's stable id.
     fn id(&self) -> PromiseId;
-    /// The promise's name, if one was captured.
-    fn name(&self) -> Option<Arc<str>>;
+    /// The promise's captured name, unrendered (see [`Name`]).
+    fn lazy_name(&self) -> Option<&Name>;
+    /// The promise's name, if one was captured, rendered to text.
+    fn name(&self) -> Option<Arc<str>> {
+        self.lazy_name().map(Name::to_arc)
+    }
     /// The promise's slot in its context's promise arena
     /// ([`PackedRef::NULL`] under the unverified baseline).
     fn slot(&self) -> PackedRef;
@@ -107,7 +112,7 @@ pub trait ErasedPromise: Send + Sync {
 pub(crate) struct PromiseInner<T, X = ()> {
     ctx: Arc<Context>,
     id: PromiseId,
-    name: Option<Arc<str>>,
+    name: Option<Name>,
     slot: PackedRef,
     cell: OneShotCell<Result<T, PromiseError>>,
     /// Extension payload fused into the same allocation (see
@@ -119,8 +124,8 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> ErasedPromise for Promi
     fn id(&self) -> PromiseId {
         self.id
     }
-    fn name(&self) -> Option<Arc<str>> {
-        self.name.clone()
+    fn lazy_name(&self) -> Option<&Name> {
+        self.name.as_ref()
     }
     fn slot(&self) -> PackedRef {
         self.slot
@@ -329,6 +334,18 @@ impl<T: Send + Sync + 'static> Promise<T> {
     pub fn try_new(name: Option<&str>) -> Result<Self, PromiseError> {
         Self::try_new_with(name, ())
     }
+
+    /// Creates a promise named `"label[index]"`, rendered only when the
+    /// name is read (see [`Name`]); otherwise exactly
+    /// [`try_new`](Promise::try_new).
+    ///
+    /// **Runtime-integration seam, not part of the user API**: its one
+    /// intended caller is the channel, which names its cell promises after
+    /// the channel's label without formatting on every send.
+    #[doc(hidden)]
+    pub fn try_new_indexed(label: &Arc<str>, index: u64) -> Result<Self, PromiseError> {
+        Self::create(Some(|| Name::indexed(label, index)), ())
+    }
 }
 
 impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
@@ -344,6 +361,15 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
     /// no policy rule, no detector edge.
     #[doc(hidden)]
     pub fn try_new_with(name: Option<&str>, extra: X) -> Result<Promise<T, X>, PromiseError> {
+        Self::create(name.map(|text| move || Name::plain(text)), extra)
+    }
+
+    /// The one creation path.  `name` builds the promise's name and runs
+    /// only when the context captures names.
+    fn create(
+        name: Option<impl FnOnce() -> Name>,
+        extra: X,
+    ) -> Result<Promise<T, X>, PromiseError> {
         task::with_current_body(|body| {
             let ctx = Arc::clone(&body.ctx);
             ctx.counters().record_promise_created();
@@ -366,11 +392,9 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
             } else {
                 PackedRef::NULL
             };
-            let name = if ctx.config().capture_names {
-                name.map(Arc::from)
-            } else {
-                None
-            };
+            let name = name
+                .filter(|_| ctx.config().capture_names)
+                .map(|make| make());
             // The cell comes from the recycled refcount-block pool: no
             // global-allocator call for pool-sized records (see
             // `crate::pool_arc`).
@@ -406,9 +430,9 @@ impl<T: Send + Sync + 'static, X: Send + Sync + 'static> Promise<T, X> {
         self.inner.id
     }
 
-    /// The promise's name, if one was captured.
+    /// The promise's name, if one was captured, rendered to text.
     pub fn name(&self) -> Option<Arc<str>> {
-        self.inner.name.clone()
+        self.inner.name.as_ref().map(Name::to_arc)
     }
 
     /// Whether the promise has been fulfilled (normally or exceptionally).

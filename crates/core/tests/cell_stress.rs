@@ -18,8 +18,8 @@
 //! xorshift value driving spin counts, so failures reproduce.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use promise_core::test_support::rng::{jitter, seed_from_env_echoed, xorshift};
 use promise_core::{Context, OneShotCell, Promise, PromiseError};
@@ -95,19 +95,32 @@ fn get_timeout_races_set() {
     assert!(timeouts > 0, "no timed get ever timed out");
 }
 
+/// Races `set` against `complete_abandoned` until each has won at least
+/// once.  Both fillers of a round are released from one barrier, so the
+/// race starts with neither side already done (a freshly spawned thread
+/// would otherwise lose nearly every round to the main thread); the seeded
+/// jitter after the barrier varies which side gets there first.  Rounds
+/// continue until both outcomes have been seen, under a time bound.
 #[test]
 fn complete_abandoned_races_set() {
+    const TIME_BOUND: Duration = Duration::from_secs(10);
     let mut seed = seed_from_env_echoed(0xda942042e4dd58b5, "cell_stress");
     let mut sets_won = 0usize;
     let mut abandons_won = 0usize;
-    for round in 0..80u64 {
+    let started = Instant::now();
+    let mut round = 0u64;
+    while (sets_won == 0 || abandons_won == 0) && started.elapsed() < TIME_BOUND {
+        round += 1;
         let ctx = Context::new_unverified();
         let root = ctx.root_task(None);
         let p = Promise::<u64>::new();
         let erased = p.as_erased();
+        let start = Arc::new(Barrier::new(2));
         let abandoner = {
+            let start = Arc::clone(&start);
             let mut s = seed ^ round;
             std::thread::spawn(move || {
+                start.wait();
                 jitter(&mut s);
                 erased.complete_abandoned(PromiseError::TaskPanicked {
                     task: promise_core::TaskId(999),
@@ -116,6 +129,7 @@ fn complete_abandoned_races_set() {
             })
         };
         let mut s = seed.rotate_right((round % 63) as u32);
+        start.wait();
         jitter(&mut s);
         let set_result = p.set(round);
         let abandon_won = abandoner.join().unwrap();

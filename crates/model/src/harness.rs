@@ -287,8 +287,8 @@ fn deadlock_latency(events: &[EventRecord], gp: &GeneratedProgram) -> Option<u64
         .filter(|e| e.kind == EventKind::Get && e.ts_ns <= alarm_ts)
         .filter(|e| {
             e.promise_name
-                .as_deref()
-                .is_some_and(|n| ring_names.iter().any(|r| r == n))
+                .as_ref()
+                .is_some_and(|n| ring_names.iter().any(|r| *r == n.text()))
         })
         .map(|e| e.ts_ns)
         .max()?;

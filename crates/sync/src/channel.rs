@@ -16,7 +16,16 @@
 //! promise, which the lock-free payload cell serves with one acquire load.
 //! The channel's own `producer`/`consumer` mutexes stay: they guard *which
 //! promise is current* (advancing the chain head/tail), not the payload, and
-//! deliberately serialise competing receivers on one end.
+//! deliberately serialise competing receivers on one end.  A `send` takes
+//! one lock: the cell counter lives under the `producer` mutex.
+//!
+//! Names: the *n*-th cell of a channel made with [`Channel::with_name`] is a
+//! promise named `"label[n]"`, counting from 0, so alarms and the event log
+//! say which cell of which channel was abandoned or waited on.  The cell
+//! keeps the channel's shared label and its index and renders the text only
+//! when something reads the name (see [`promise_core::Name`]): a `send`
+//! formats nothing and allocates no name, and with name capture off (the
+//! unverified baseline's default) the cell stores no name at all.
 //!
 //! Ownership: the sender always owns exactly one unfulfilled promise — the
 //! current producer cell.  The channel implements
@@ -49,15 +58,21 @@ impl<T: Clone> Clone for Cell<T> {
     }
 }
 
-struct ChannelState<T> {
+/// The sending end: the current producer cell and the cell counter, under
+/// one lock.
+struct Producer<T> {
     /// The promise the next `send`/`stop` will fulfil.
-    producer: Mutex<Promise<Cell<T>>>,
+    cell: Promise<Cell<T>>,
+    /// Monotone counter naming successive cells (diagnostics only).
+    sent: u64,
+}
+
+struct ChannelState<T> {
+    producer: Mutex<Producer<T>>,
     /// The promise the next `recv` will read.
     consumer: Mutex<Promise<Cell<T>>>,
-    /// Optional label used for the underlying promises' names.
-    label: Option<String>,
-    /// Monotone counter naming successive cells (diagnostics only).
-    sent: Mutex<u64>,
+    /// Optional label the cell promises are named after.
+    label: Option<Arc<str>>,
 }
 
 /// A multi-shot, promise-backed channel (Listing 4 of the paper).
@@ -96,53 +111,44 @@ impl<T: Clone + Send + Sync + 'static> Channel<T> {
     }
 
     fn build(label: Option<&str>) -> Self {
-        let first = match label {
-            Some(l) => Promise::with_name(&format!("{l}[0]")),
-            None => Promise::new(),
-        };
+        let label: Option<Arc<str>> = label.map(Arc::from);
+        let first = cell_promise(label.as_ref(), 0);
         Channel {
             state: Arc::new(ChannelState {
-                producer: Mutex::new(first.clone()),
+                producer: Mutex::new(Producer {
+                    cell: first.clone(),
+                    sent: 0,
+                }),
                 consumer: Mutex::new(first),
-                label: label.map(|s| s.to_string()),
-                sent: Mutex::new(0),
+                label,
             }),
-        }
-    }
-
-    fn fresh_cell_promise(&self) -> Promise<Cell<T>> {
-        let mut sent = self.state.sent.lock();
-        *sent += 1;
-        match &self.state.label {
-            Some(l) => Promise::with_name(&format!("{l}[{}]", *sent)),
-            None => Promise::new(),
         }
     }
 
     /// Sends a value.  Fails if the calling task does not own the sending end
     /// (ownership policy) or the channel has been stopped.
     pub fn send(&self, value: T) -> Result<(), PromiseError> {
+        let mut producer = self.state.producer.lock();
+        producer.sent += 1;
         // Allocate the next cell first (Listing 4 line 19): the new promise
         // is owned by the sending task, which thereby keeps exactly one
         // outstanding obligation — the tail of the stream.
-        let next = self.fresh_cell_promise();
-        let mut producer = self.state.producer.lock();
-        if let Err(e) = producer.set(Cell::Item(value, next.clone())) {
+        let next = cell_promise(self.state.label.as_ref(), producer.sent);
+        if let Err(e) = producer.cell.set(Cell::Item(value, next.clone())) {
             // The send was refused (not the owner / already stopped).  The
             // speculatively allocated tail promise belongs to the caller and
             // would otherwise linger as a bogus obligation; retire it.
             let _ = next.set(Cell::Closed);
             return Err(e);
         }
-        *producer = next;
+        producer.cell = next;
         Ok(())
     }
 
     /// Closes the channel: receivers see end-of-stream after all previously
     /// sent values.  Fails if the calling task does not own the sending end.
     pub fn stop(&self) -> Result<(), PromiseError> {
-        let producer = self.state.producer.lock();
-        producer.set(Cell::Closed)
+        self.state.producer.lock().cell.set(Cell::Closed)
     }
 
     /// Receives the next value, blocking until one is available.  Returns
@@ -190,13 +196,24 @@ impl<T: Clone + Send + Sync + 'static> Channel<T> {
 
     /// Number of values sent so far (diagnostics).
     pub fn sent_count(&self) -> u64 {
-        *self.state.sent.lock()
+        self.state.producer.lock().sent
     }
 
     /// The channel's label, if any.
     pub fn label(&self) -> Option<String> {
-        self.state.label.clone()
+        self.state.label.as_deref().map(str::to_owned)
     }
+}
+
+/// Cell `index` of a channel: named `"label[index]"` when the channel has a
+/// label, rendered only if something reads the name.
+fn cell_promise<T: Send + Sync + 'static>(label: Option<&Arc<str>>, index: u64) -> Promise<T> {
+    let promise = match label {
+        Some(l) => Promise::try_new_indexed(l, index),
+        None => Promise::try_new(None),
+    };
+    promise
+        .expect("a Channel requires a current task; run inside Runtime::block_on or a spawned task")
 }
 
 impl<T: Clone + Send + Sync + 'static> Default for Channel<T> {
@@ -209,14 +226,14 @@ impl<T: Clone + Send + Sync + 'static> PromiseCollection for Channel<T> {
     /// Moving a channel moves its *current producer promise* — i.e. the
     /// responsibility for the sending end (Listing 4, `getPromises`).
     fn append_promises(&self, out: &mut TransferList) {
-        out.push(self.state.producer.lock().as_erased());
+        out.push(self.state.producer.lock().cell.as_erased());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promise_core::VerificationMode;
+    use promise_core::{Alarm, OmittedSetReport, VerificationMode};
     use promise_runtime::{spawn, spawn_named, Runtime};
 
     #[test]
@@ -257,27 +274,159 @@ mod tests {
         assert_eq!(rt.context().alarm_count(), 0);
     }
 
+    /// The omitted-set report of a sender task that exits without
+    /// `stop()`, with names captured or not.
+    fn abandoning_sender_report(capture_names: bool) -> Arc<OmittedSetReport> {
+        let rt = Runtime::builder().capture_names(capture_names).build();
+        let report = rt
+            .block_on(|| {
+                let ch = Channel::<i32>::with_name("abandoned");
+                let h = spawn_named("lazy-producer", &ch, {
+                    let ch = ch.clone();
+                    move || {
+                        ch.send(1).unwrap();
+                        // forgot to stop() or hand the channel off
+                    }
+                });
+                assert_eq!(ch.recv().unwrap(), Some(1));
+                // The tail promise was abandoned; the receiver observes the
+                // omitted set instead of blocking forever.
+                let err = ch.recv().unwrap_err();
+                assert!(h.join().is_err());
+                match err {
+                    PromiseError::OmittedSet(report) => report,
+                    other => panic!("expected an omitted set, got {other}"),
+                }
+            })
+            .unwrap();
+        assert_eq!(rt.context().alarm_count(), 1);
+        report
+    }
+
     #[test]
     fn sender_that_abandons_the_channel_is_blamed() {
-        let rt = Runtime::new();
-        rt.block_on(|| {
-            let ch = Channel::<i32>::with_name("abandoned");
-            let h = spawn_named("lazy-producer", &ch, {
-                let ch = ch.clone();
-                move || {
-                    ch.send(1).unwrap();
-                    // forgot to stop() or hand the channel off
+        let report = abandoning_sender_report(true);
+        assert_eq!(report.task_name.as_deref(), Some("lazy-producer"));
+        let names: Vec<_> = report
+            .promises
+            .iter()
+            .map(|p| p.promise_name.as_deref())
+            .collect();
+        assert_eq!(
+            names,
+            [Some("abandoned[1]")],
+            "the unsent tail cell is blamed"
+        );
+
+        let report = abandoning_sender_report(false);
+        assert_eq!(report.promises.len(), 1);
+        assert_eq!(report.promises[0].promise_name, None);
+    }
+
+    /// A named channel's current producer cell reads `"label[n]"` through
+    /// `Promise::name()`, `Debug` and the erased handle, and every set
+    /// event in the JSONL event log names its cell — or nothing at all
+    /// when names are not captured.
+    #[test]
+    fn cell_names_read_label_and_index() {
+        for capture_names in [true, false] {
+            let rt = Runtime::builder()
+                .capture_names(capture_names)
+                .event_log(true)
+                .build();
+            rt.block_on(|| {
+                let ch = Channel::<i32>::with_name("cells");
+                ch.send(1).unwrap();
+                ch.send(2).unwrap();
+                let cell = ch.state.producer.lock().cell.clone();
+                let erased = cell.as_erased();
+                let expected = capture_names.then_some("cells[2]");
+                assert_eq!(cell.name().as_deref(), expected);
+                assert_eq!(erased.name().as_deref(), expected);
+                let debug = format!("{cell:?}");
+                match expected {
+                    Some(name) => {
+                        assert!(debug.contains(&format!("name: Some({name:?})")), "{debug}")
+                    }
+                    None => assert!(debug.contains("name: None"), "{debug}"),
                 }
-            });
-            assert_eq!(ch.recv().unwrap(), Some(1));
-            // The tail promise was abandoned; the receiver observes the
-            // omitted set instead of blocking forever.
-            let err = ch.recv().unwrap_err();
-            assert!(matches!(err, PromiseError::OmittedSet(_)));
-            assert!(h.join().is_err());
-        })
-        .unwrap();
-        assert_eq!(rt.context().alarm_count(), 1);
+                ch.stop().unwrap();
+                assert_eq!(ch.recv_all().unwrap(), [1, 2]);
+            })
+            .unwrap();
+            let jsonl = rt.context().event_log().unwrap().to_jsonl();
+            let set_names: Vec<Option<&str>> = jsonl
+                .lines()
+                .filter(|l| l.contains("\"kind\":\"set\""))
+                .map(|l| {
+                    let key = "\"promise_name\":\"";
+                    l.find(key).map(|at| {
+                        let rest = &l[at + key.len()..];
+                        &rest[..rest.find('"').unwrap()]
+                    })
+                })
+                .collect();
+            let expected: &[Option<&str>] = if capture_names {
+                &[Some("cells[0]"), Some("cells[1]"), Some("cells[2]")]
+            } else {
+                &[None, None, None]
+            };
+            assert_eq!(set_names, expected, "{jsonl}");
+        }
+    }
+
+    /// One side of a two-channel cycle: send one value, receive the other
+    /// side's, then block on the other side's next cell.  Whichever side
+    /// closes the cycle gets the deadlock error and stops its channel,
+    /// which ends the other side's wait.
+    fn cycle_side(mine: &Channel<i32>, theirs: &Channel<i32>) {
+        mine.send(0).unwrap();
+        assert_eq!(theirs.recv().unwrap(), Some(0));
+        match theirs.recv() {
+            Err(PromiseError::DeadlockDetected(_)) | Ok(None) => {}
+            other => panic!("expected a deadlock or end of stream, got {other:?}"),
+        }
+        mine.stop().unwrap();
+    }
+
+    /// A deadlock-cycle report names the channel cell its blocked `get`
+    /// waited on: the root waits on `b[1]`, the child on `a[1]`.
+    #[test]
+    fn deadlock_cycle_report_names_the_awaited_cell() {
+        for capture_names in [true, false] {
+            let rt = Runtime::builder().capture_names(capture_names).build();
+            rt.block_on(|| {
+                let a = Channel::<i32>::with_name("a");
+                let b = Channel::<i32>::with_name("b");
+                let h = spawn_named("b-sender", &b, {
+                    let (a, b) = (a.clone(), b.clone());
+                    move || cycle_side(&b, &a)
+                });
+                cycle_side(&a, &b);
+                h.join().unwrap();
+            })
+            .unwrap();
+            let cycles: Vec<_> = rt
+                .context()
+                .alarms()
+                .into_iter()
+                .filter_map(|alarm| match alarm {
+                    Alarm::Deadlock(cycle) => Some(cycle),
+                    _ => None,
+                })
+                .collect();
+            assert!(!cycles.is_empty(), "the cycle was not detected");
+            assert_eq!(rt.context().alarm_count(), cycles.len());
+            for cycle in cycles {
+                let closing = &cycle.entries[0];
+                let expected = match closing.task_name.as_deref() {
+                    Some("b-sender") => Some("a[1]"),
+                    Some(_) => Some("b[1]"),
+                    None => None,
+                };
+                assert_eq!(closing.promise_name.as_deref(), expected, "{cycle}");
+            }
+        }
     }
 
     #[test]
